@@ -1,12 +1,14 @@
 //! Engine-throughput measurement: robots·rounds per second of the FSYNC
-//! round loop (look + compute + sharded apply) at large n, emitted as
+//! round loop (look + compute + apply) at large n, emitted as
 //! `BENCH_engine.json`.
 //!
 //! Unlike the criterion benches (which time small controller kernels)
 //! this drives the *whole* engine — tiled occupancy probes through view
-//! windows, the parallel compute map, and the sharded round-apply — on
-//! swarms up to 10⁶ robots, including the sparse `clusters` family whose
-//! bounding box a dense O(area) occupancy index cannot allocate.
+//! windows, the parallel compute map, and the round-apply every
+//! scheduler shares (`Swarm::apply_sparse`, with every slot active
+//! under FSYNC) — on swarms up to 10⁶ robots, including the sparse
+//! `clusters` family whose bounding box a dense O(area) occupancy index
+//! cannot allocate.
 //!
 //! Usage:
 //!   bench_engine [--n N] [--rounds R] [--threads T1,T2,..] \
@@ -18,19 +20,21 @@
 //!           --seed 1 --scheduler fsync --out BENCH_engine.json
 //!
 //! `--scheduler` takes any registry name (`fsync`, `ssync-p50`, `rr4`,
-//! `crash-f10`, …) so the weak-scheduler round path — a k-robot
-//! activation applied through the sparse apply — is benchable and
-//! gateable like the FSYNC path. Throughput is still robot-rounds/s
-//! (live population summed per round): under `rrK` it measures how
-//! cheaply the engine turns a round over relative to the swarm size,
-//! which is exactly the O(active)-vs-O(n) axis.
+//! `crash-f10`, …) so a weak-scheduler round — a k-robot activation
+//! through the same apply — is benchable and gateable like an FSYNC
+//! one. Throughput is still robot-rounds/s (live population summed per
+//! round): under `rrK` it measures how cheaply the engine turns a round
+//! over relative to the swarm size, which is exactly the
+//! O(active)-vs-O(n) axis.
 //!
 //! `--profile` installs the engine's phase profiler for each measured
 //! thread config: the per-phase breakdown is printed to stderr and
 //! written as a `profile` array in the output JSON (before `results`,
-//! whose chunk-parsing gate readers skip everything earlier). Timing
-//! probes add a little overhead, so profiled throughputs run slightly
-//! under unprofiled ones — the gate tolerance absorbs it.
+//! whose chunk-parsing gate readers skip everything earlier). Its
+//! `targets_ns` and `shard_gap_ns` fields read 0: they belonged to the
+//! former dense FSYNC apply and are kept so old and new rows share one
+//! schema. Timing probes add a little overhead, so profiled throughputs
+//! run slightly under unprofiled ones — the gate tolerance absorbs it.
 //!
 //! The post-run position digest is asserted identical across all
 //! measured thread counts — every bench run doubles as a determinism

@@ -488,12 +488,13 @@ fn smoke(args: &SmokeArgs) -> Result<(), String> {
     eprintln!(
         "smoke ok: {} robots x {} rounds replayed digest-clean, traces byte-identical \
          across thread counts ({} occupied tiles over a {}-cell bounding box, \
-         {:.3e} robot-rounds/s)",
+         {:.3e} robot-rounds/s, final digest {:#018x})",
         report.robots,
         report.rounds,
         report.occupied_tiles,
         report.bounding_cells,
         report.robot_rounds_per_s,
+        report.final_digest,
     );
     Ok(())
 }

@@ -16,8 +16,9 @@ pub struct PerfSummary {
     pub rounds: u64,
     /// Per-phase attributed time, indexed by `Phase as usize`.
     pub phase_s: [f64; PHASE_COUNT],
-    /// Accumulated slowest-minus-fastest shard gap in the sharded
-    /// merge-detect section (parallel imbalance).
+    /// Accumulated slowest-minus-fastest shard gap of the former
+    /// sharded merge detection. Nothing fills it any more, so it reads
+    /// 0; kept so `perf_shard_gap_s` stays in the record format.
     pub shard_gap_s: f64,
     /// Allocation events over the run; `Some` only when the engine was
     /// built with the `count-alloc` feature.

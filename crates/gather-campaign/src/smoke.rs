@@ -1,7 +1,7 @@
 //! Large-n determinism smoke: record one bounded-round trace of the
 //! engine at two thread counts, replay it through digest-verified
 //! playback, and diff the two recordings — the CI guard that the
-//! sharded parallel round-apply stays bit-identical on every push.
+//! engine's parallel round-apply stays bit-identical on every push.
 //!
 //! `campaign record`/`replay` re-execute whole scenarios to completion,
 //! which at 10⁵+ robots means ~n rounds of work; the smoke instead
@@ -10,7 +10,9 @@
 //! re-derives the evolution from the recorded moves through
 //! `Swarm::apply_partial` and verifies every round's population and
 //! position digest, so a clean replay certifies the engine's apply —
-//! not just that the file round-trips.
+//! not just that the file round-trips. The engine records every
+//! scheduler's rounds (FSYNC included) through `Swarm::apply_sparse`,
+//! so each smoke is a sparse-vs-reference cross-check.
 
 use std::cell::RefCell;
 use std::fs::{self, File};
@@ -40,11 +42,11 @@ pub struct SmokeArgs {
     /// byte-identical.
     pub threads_a: usize,
     pub threads_b: usize,
-    /// Activation policy for the recorded rounds. Partial schedulers
-    /// (`rr4`, `ssync-p50`, ...) drive the engine's sparse round path,
-    /// while playback re-derives every round through the dense
-    /// `Swarm::apply_partial` — so a non-FSYNC smoke cross-checks the
-    /// sparse apply against the dense one on every run.
+    /// Activation policy for the recorded rounds: every robot under
+    /// FSYNC, a subset under partial schedulers (`rr4`, `ssync-p50`,
+    /// ...). Either way the engine applies through the sparse apply
+    /// while playback re-derives every round through the sequential
+    /// `Swarm::apply_partial` reference.
     pub scheduler: SchedulerKind,
     /// Where the two `.gtrc` files land.
     pub dir: PathBuf,
@@ -72,9 +74,11 @@ pub struct SmokeReport {
     pub occupied_tiles: usize,
     pub bounding_cells: u128,
     pub robot_rounds_per_s: f64,
+    /// Position digest of the swarm after the last replayed round.
+    pub final_digest: u64,
 }
 
-/// Record `rounds` FSYNC rounds of the paper controller on `points`
+/// Record `rounds` `scheduler` rounds of the paper controller on `points`
 /// into a trace file, returning the wall-clock robot-rounds/s. Uses
 /// [`TraceSink`] — the same latching observer sink `campaign record`
 /// streams through.
@@ -225,6 +229,7 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
         occupied_tiles: final_swarm.index().tile_count(),
         bounding_cells: bounds.width() as u128 * bounds.height() as u128,
         robot_rounds_per_s: tput_a.max(tput_b),
+        final_digest: final_swarm.position_digest(),
     })
 }
 
@@ -232,8 +237,11 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
 mod tests {
     use super::*;
 
-    /// End-to-end at a size that engages the sharded apply (n above the
-    /// parallel threshold) but stays debug-build fast.
+    /// End-to-end FSYNC at a size above the parallel threshold (so the
+    /// apply's parallel occupancy update and compaction can engage at 2
+    /// threads) but debug-build fast. The final digest is pinned, so a
+    /// change to FSYNC semantics fails here even if both thread counts
+    /// agree with each other.
     #[test]
     fn smoke_passes_on_a_sharded_size() {
         let dir = std::env::temp_dir().join(format!("gather-smoke-{}", std::process::id()));
@@ -251,13 +259,14 @@ mod tests {
         assert_eq!(report.rounds, 3);
         assert_eq!(report.robots, 1500);
         assert!(report.occupied_tiles >= 2, "clusters should span tiles");
+        assert_eq!(report.final_digest, 0xc067_000e_4209_1bd3, "pinned FSYNC digest drifted");
         let _ = fs::remove_dir_all(&dir);
     }
 
     /// Partial schedulers record through the sparse apply while playback
-    /// replays densely: a passing smoke is an end-to-end sparse≡dense
-    /// cross-check, per scheduler, with byte-identical traces across
-    /// thread counts.
+    /// replays through the sequential reference: a passing smoke is an
+    /// end-to-end sparse≡reference cross-check, per scheduler, with
+    /// byte-identical traces across thread counts.
     #[test]
     fn smoke_passes_under_partial_schedulers() {
         let dir = std::env::temp_dir().join(format!("gather-smoke-sched-{}", std::process::id()));

@@ -184,8 +184,8 @@ impl<C: Controller> Engine<C> {
 
     /// Attach a per-round profile sink: called once after every round
     /// (failing rounds included) with the round's [`RoundProfile`] —
-    /// wall time attributed to named phases, shard imbalance in the
-    /// parallel apply, and the allocation delta when the `count-alloc`
+    /// wall time attributed to named phases, chunk imbalance in the
+    /// parallel compaction, and the allocation delta when the `count-alloc`
     /// feature is on. Profiling observes the round *after* its work, so
     /// results are bit-identical with and without a sink; with no sink
     /// attached the round loop reads no clocks at all.
@@ -198,12 +198,20 @@ impl<C: Controller> Engine<C> {
         self.profiler = None;
     }
 
-    /// Execute one scheduler round: activate the scheduler's subset,
-    /// compute their actions in parallel, and apply them simultaneously
-    /// (inactive robots keep position and state). The apply itself also
-    /// uses the configured worker threads — merge detection and the
-    /// occupancy rebuild shard by tile, bit-identically to the
-    /// sequential path. Under
+    /// Execute one scheduler round. Every scheduler shares one flow:
+    ///
+    /// 1. build the look set — every slot under FSYNC, the scheduler's
+    ///    subset under partial schedulers, the robots not mid-flight
+    ///    under ASYNC;
+    /// 2. compute the look set's actions in one parallel map;
+    /// 3. ASYNC only: park the delayed looks and collect the moves
+    ///    falling due;
+    /// 4. observe the committed moves (when an observer is attached);
+    /// 5. apply them simultaneously through [`Swarm::apply_sparse`],
+    ///    which uses the configured worker threads and is bit-identical
+    ///    to the sequential [`Swarm::apply_partial`] reference.
+    ///
+    /// Inactive robots keep position and state. Under
     /// [`Scheduler::Fsync`] this is exactly the paper's FSYNC round.
     /// Activated robots all observe the engine's global round counter —
     /// the weaker schedulers relax *who* acts, not the common clock.
@@ -228,73 +236,66 @@ impl<C: Controller> Engine<C> {
         // world-frame move list and the pending-move list are only
         // materialised when an observer is attached.
         let tracing = self.observer.is_some();
-        let mut moves: Vec<RobotMove> = Vec::new();
-        let mut pending: Vec<PendingMove> = Vec::new();
-        let (recorded_activation, activated, outcome) = if let Scheduler::Async {
-            seed,
-            staleness,
-        } = self.config.scheduler
-        {
-            self.step_async(
-                seed,
-                staleness,
-                ctx,
-                radius,
-                tracing,
-                &mut moves,
-                &mut pending,
-                &mut prof,
-            )
-        } else {
-            let activation =
-                timed(&mut prof, Phase::Activate, || self.config.scheduler.activate(self.round, n));
-            let activated = activation.len(n);
-            let swarm = &self.swarm;
-            let controller = &self.controller;
-            let decide = |i: usize| {
-                let view = View::new(swarm, i, radius);
+
+        // The look set, in slot order, and the activation the observer
+        // records for it.
+        let (look, recorded_activation) = timed(&mut prof, Phase::Activate, || {
+            if let Scheduler::Async { .. } = self.config.scheduler {
+                // Every robot not mid-flight. Legitimately empty when
+                // everyone is in flight — such a round is a true no-op
+                // unless parked moves fall due below.
+                let look: Vec<usize> = (0..n).filter(|&i| !self.swarm.is_in_flight(i)).collect();
+                let recorded = tracing.then(|| {
+                    if look.len() == n {
+                        Activation::All
+                    } else {
+                        Activation::Subset(look.clone())
+                    }
+                });
+                (look, recorded)
+            } else {
+                let activation = self.config.scheduler.activate(self.round, n);
+                let recorded = tracing.then(|| activation.clone());
+                let look = match activation {
+                    Activation::All => (0..n).collect(),
+                    Activation::Subset(active) => active,
+                };
+                (look, recorded)
+            }
+        });
+        let activated = look.len();
+
+        let swarm = &self.swarm;
+        let controller = &self.controller;
+        let computed: Vec<Action<C::State>> = timed(&mut prof, Phase::Compute, || {
+            parallel_map(look.len(), self.config.threads, |j| {
+                let view = View::new(swarm, look[j], radius);
                 controller.decide(&view, ctx)
-            };
-            let recorded_activation = tracing.then(|| activation.clone());
-            let outcome = match activation {
-                Activation::All => {
-                    let actions: Vec<Action<C::State>> = timed(&mut prof, Phase::Compute, || {
-                        parallel_map(n, self.config.threads, decide)
-                    });
-                    if tracing {
-                        moves = timed(&mut prof, Phase::Observe, || {
-                            world_moves(swarm, actions.iter().enumerate())
-                        });
-                    }
-                    self.swarm.apply_threads_profiled(
-                        actions,
-                        self.config.threads,
-                        prof.as_deref_mut(),
-                    )
-                }
-                Activation::Subset(active) => {
-                    let computed: Vec<Action<C::State>> = timed(&mut prof, Phase::Compute, || {
-                        parallel_map(active.len(), self.config.threads, |j| decide(active[j]))
-                    });
-                    if tracing {
-                        moves = timed(&mut prof, Phase::Observe, || {
-                            world_moves(swarm, active.iter().copied().zip(computed.iter()))
-                        });
-                    }
-                    // Sparse apply: O(activated ∪ moved), never the O(n)
-                    // scatter into a full Option vector. Bit-identical to
-                    // the dense partial apply (the equivalence proptests and
-                    // the trace replay oracle both pin this).
-                    self.swarm.apply_sparse_threads_profiled(
-                        &active,
-                        computed,
-                        self.config.threads,
-                        prof.as_deref_mut(),
-                    )
-                }
-            };
-            (recorded_activation, activated, outcome)
+            })
+        });
+
+        let mut pending: Vec<PendingMove> = Vec::new();
+        let (commit_slots, commit_actions) = match self.config.scheduler {
+            Scheduler::Async { seed, staleness } => timed(&mut prof, Phase::Activate, || {
+                let record = tracing.then_some(&mut pending);
+                self.split_async(seed, staleness, ctx.round, &look, computed, record)
+            }),
+            _ => (look, computed),
         };
+
+        let moves = if tracing {
+            timed(&mut prof, Phase::Observe, || {
+                world_moves(&self.swarm, commit_slots.iter().copied().zip(commit_actions.iter()))
+            })
+        } else {
+            Vec::new()
+        };
+        let outcome = self.swarm.apply_sparse(
+            &commit_slots,
+            commit_actions,
+            self.config.threads,
+            prof.as_deref_mut(),
+        );
         let stats = RoundStats {
             round: self.round,
             merged: outcome.merged,
@@ -360,110 +361,69 @@ impl<C: Controller> Engine<C> {
         Ok(stats)
     }
 
-    /// One ASYNC round (the [`Scheduler::Async`] extension of the round
-    /// loop). The look-compute-move cycle is decoupled: the robots not
-    /// mid-flight *look* against the start-of-round swarm and draw a
-    /// seeded delay `d ∈ 0..=staleness`; `d = 0` commits this round,
-    /// `d >= 1` parks the move in the swarm (handle-keyed). The commit
-    /// set — parked moves falling due plus this round's delay-0 looks —
-    /// goes through the sparse O(active) apply, so in-flight robots are
-    /// stationary incumbents under the existing order-free merge rule
-    /// and results stay bit-identical across thread counts. Returns the
-    /// observer's activation record (the look set), the activation
-    /// count, and the apply outcome.
-    #[allow(clippy::too_many_arguments)]
-    fn step_async(
+    /// The ASYNC step between compute and apply ([`Scheduler::Async`]).
+    /// The look-compute-move cycle is decoupled: each robot of the look
+    /// set (looking at the start-of-round swarm) draws a seeded delay
+    /// `d ∈ 0..=staleness`; `d = 0` commits this round, `d >= 1` parks
+    /// the move in the swarm (handle-keyed). Returns the commit set —
+    /// parked moves falling due plus this round's delay-0 looks — as
+    /// slot-sorted `(slots, actions)`, ready for the sparse apply, so
+    /// in-flight robots are stationary incumbents under the existing
+    /// order-free merge rule and results stay bit-identical across
+    /// thread counts. Parked moves are recorded into `pending` when one
+    /// is given (tracing).
+    fn split_async(
         &mut self,
         seed: u64,
         staleness: u32,
-        ctx: RoundCtx,
-        radius: i32,
-        tracing: bool,
-        moves: &mut Vec<RobotMove>,
-        pending: &mut Vec<PendingMove>,
-        prof: &mut Option<&mut RoundProfile>,
-    ) -> (Option<Activation>, usize, crate::swarm::ApplyOutcome) {
-        let n = self.swarm.len();
-        // The look set: every robot not mid-flight, in slot order.
-        // Legitimately empty when everyone is in flight — such a round
-        // is a true no-op unless parked moves fall due below.
-        let look: Vec<usize> = timed(prof, Phase::Activate, || {
-            (0..n).filter(|&i| !self.swarm.is_in_flight(i)).collect()
-        });
-        let activated = look.len();
-        let recorded_activation = tracing.then(|| {
-            if activated == n {
-                Activation::All
-            } else {
-                Activation::Subset(look.clone())
-            }
-        });
-        let swarm = &self.swarm;
-        let controller = &self.controller;
-        let computed: Vec<Action<C::State>> = timed(prof, Phase::Compute, || {
-            parallel_map(look.len(), self.config.threads, |j| {
-                let view = View::new(swarm, look[j], radius);
-                controller.decide(&view, ctx)
-            })
-        });
+        round: u64,
+        look: &[usize],
+        computed: Vec<Action<C::State>>,
+        mut pending: Option<&mut Vec<PendingMove>>,
+    ) -> (Vec<usize>, Vec<Action<C::State>>) {
         // Split this round's looks by their seeded delay, then merge the
         // delay-0 ones with the earlier looks falling due now. Both
         // lists are slot-sorted and disjoint (a due robot was in flight,
         // hence outside the look set), so a linear merge preserves the
         // sparse apply's sorted-activation contract.
-        let (commit_slots, commit_actions) = timed(prof, Phase::Activate, || {
-            let mut immediate: Vec<(usize, Action<C::State>)> = Vec::new();
-            for (j, action) in computed.into_iter().enumerate() {
-                let i = look[j];
-                let d = async_delay(seed, staleness, ctx.round, self.swarm.handles()[i]);
-                if d == 0 {
-                    immediate.push((i, action));
-                } else {
-                    if tracing {
-                        // Pending records keep the zero step: a robot
-                        // that decided to stay is still in flight.
-                        let step = self.swarm.orients()[i].apply(action.step);
-                        pending.push(PendingMove {
-                            robot: i as u32,
-                            dx: step.x as i8,
-                            dy: step.y as i8,
-                            delay: d as u32,
-                        });
-                    }
-                    self.swarm.park(i, ctx.round + d, action);
+        let mut immediate: Vec<(usize, Action<C::State>)> = Vec::new();
+        for (&i, action) in look.iter().zip(computed) {
+            let d = async_delay(seed, staleness, round, self.swarm.handles()[i]);
+            if d == 0 {
+                immediate.push((i, action));
+            } else {
+                if let Some(pending) = pending.as_deref_mut() {
+                    // Pending records keep the zero step: a robot that
+                    // decided to stay is still in flight.
+                    let step = self.swarm.orients()[i].apply(action.step);
+                    pending.push(PendingMove {
+                        robot: i as u32,
+                        dx: step.x as i8,
+                        dy: step.y as i8,
+                        delay: d as u32,
+                    });
                 }
+                self.swarm.park(i, round + d, action);
             }
-            let due = self.swarm.take_due(ctx.round);
-            let mut slots = Vec::with_capacity(due.len() + immediate.len());
-            let mut actions = Vec::with_capacity(due.len() + immediate.len());
-            let mut due = due.into_iter().peekable();
-            let mut immediate = immediate.into_iter().peekable();
-            loop {
-                let from_due = match (due.peek(), immediate.peek()) {
-                    (Some(d), Some(m)) => d.0 < m.0,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                let (slot, action) =
-                    if from_due { due.next() } else { immediate.next() }.expect("peeked Some");
-                slots.push(slot);
-                actions.push(action);
-            }
-            (slots, actions)
-        });
-        if tracing {
-            *moves = timed(prof, Phase::Observe, || {
-                world_moves(&self.swarm, commit_slots.iter().copied().zip(commit_actions.iter()))
-            });
         }
-        let outcome = self.swarm.apply_sparse_threads_profiled(
-            &commit_slots,
-            commit_actions,
-            self.config.threads,
-            prof.as_deref_mut(),
-        );
-        (recorded_activation, activated, outcome)
+        let due = self.swarm.take_due(round);
+        let mut slots = Vec::with_capacity(due.len() + immediate.len());
+        let mut actions = Vec::with_capacity(due.len() + immediate.len());
+        let mut due = due.into_iter().peekable();
+        let mut immediate = immediate.into_iter().peekable();
+        loop {
+            let from_due = match (due.peek(), immediate.peek()) {
+                (Some(d), Some(m)) => d.0 < m.0,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let (slot, action) =
+                if from_due { due.next() } else { immediate.next() }.expect("peeked Some");
+            slots.push(slot);
+            actions.push(action);
+        }
+        (slots, actions)
     }
 
     /// Run until gathered or until `max_rounds` have elapsed.
@@ -725,7 +685,6 @@ mod tests {
             for (i, p) in profiles.iter().enumerate() {
                 assert_eq!(p.round, i as u64);
                 assert!(p.phases_total_ns() <= p.wall_ns, "phases exceed wall time");
-                assert!(p.shard_min_ns <= p.shard_max_ns);
                 totals.add(p);
             }
             // The named phases must explain the overwhelming share of
@@ -736,14 +695,6 @@ mod tests {
                 totals.coverage() * 100.0,
                 totals.render(),
             );
-            // This swarm is above PARALLEL_THRESHOLD, so the parallel
-            // path ran and clocked its merge shards.
-            if threads > 1 {
-                assert!(
-                    profiles.iter().any(|p| p.shard_max_ns > 0),
-                    "threads={threads}: sharded section never clocked"
-                );
-            }
             assert_eq!(
                 profiles.iter().all(|p| p.allocs.is_some()),
                 cfg!(feature = "count-alloc"),

@@ -1,6 +1,6 @@
 //! Round phase profiler: attributes each engine round's wall time to
 //! named phases (compute, merge detection, occupancy rebuild, survivor
-//! compaction, …) plus per-shard imbalance in the parallel sections.
+//! compaction, …) plus per-chunk imbalance in the parallel compaction.
 //!
 //! The design generalises the observer hook's zero-cost-when-unset
 //! pattern: the engine holds an `Option<BoxedProfileSink>`, and every
@@ -33,10 +33,14 @@ pub enum Phase {
     Activate = 0,
     /// The look/compute parallel map (controller decisions).
     Compute = 1,
-    /// Target-cell computation and move counting in the round-apply.
+    /// Target-cell computation in the former dense round-apply. The
+    /// engine's one apply path computes targets while building its
+    /// active lists ([`Phase::ActiveList`]), so this slot now reads 0;
+    /// it is kept so the `targets` field of campaign records and bench
+    /// rows keeps its name and position.
     ApplyTargets = 2,
-    /// Merge detection: grouping robots by target cell and resolving
-    /// survivors (sharded by tile on the parallel path).
+    /// Merge detection: resolving one survivor per contested target
+    /// cell among the round's movers and stationary incumbents.
     MergeDetect = 3,
     /// Occupancy-index rebuild: clearing old cells, setting survivors.
     OccupancyRebuild = 4,
@@ -96,11 +100,6 @@ pub struct RoundProfile {
     pub wall_ns: u64,
     /// Per-phase wall time, indexed by `Phase as usize`.
     pub phase_ns: [u64; PHASE_COUNT],
-    /// Fastest worked shard in the sharded merge-detect section, ns
-    /// (0 when the round took the sequential path).
-    pub shard_min_ns: u64,
-    /// Slowest worked shard in the sharded merge-detect section, ns.
-    pub shard_max_ns: u64,
     /// Fastest worked chunk in the parallel prefix-sum compaction, ns
     /// (0 when the round compacted sequentially or had no merges).
     pub compact_min_ns: u64,
@@ -146,15 +145,19 @@ pub fn timed<T>(prof: &mut Option<&mut RoundProfile>, phase: Phase, f: impl FnOn
     }
 }
 
-/// Accumulated profile over a run: per-phase sums, wall time, shard
-/// imbalance extremes, and the allocation total — the shape the bench
+/// Accumulated profile over a run: per-phase sums, wall time, parallel
+/// imbalance gaps, and the allocation total — the shape the bench
 /// and campaign layers aggregate into their reports.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileTotals {
     pub rounds: u64,
     pub wall_ns: u64,
     pub phase_ns: [u64; PHASE_COUNT],
-    /// Sum of per-round slowest-shard minus fastest-shard gaps, ns.
+    /// Sum of per-round slowest-shard minus fastest-shard gaps in the
+    /// former sharded merge detection, ns. Merge detection no longer
+    /// runs per shard, so nothing adds to this and it reads 0; it is
+    /// kept so the `shard_gap` field of campaign records and bench rows
+    /// keeps its name and position.
     pub shard_imbalance_ns: u64,
     /// Sum of per-round slowest-chunk minus fastest-chunk gaps in the
     /// parallel prefix-sum compaction, ns.
@@ -173,7 +176,6 @@ impl ProfileTotals {
         for (sum, &ns) in self.phase_ns.iter_mut().zip(&p.phase_ns) {
             *sum += ns;
         }
-        self.shard_imbalance_ns += p.shard_max_ns.saturating_sub(p.shard_min_ns);
         self.compact_imbalance_ns += p.compact_max_ns.saturating_sub(p.compact_min_ns);
         if let Some(a) = p.allocs {
             self.allocs += a;
@@ -356,8 +358,6 @@ mod tests {
         let mut p = RoundProfile { round: 0, wall_ns: 100, ..Default::default() };
         p.phase_ns[Phase::Compute as usize] = 60;
         p.phase_ns[Phase::MergeDetect as usize] = 30;
-        p.shard_min_ns = 5;
-        p.shard_max_ns = 9;
         p.compact_min_ns = 2;
         p.compact_max_ns = 5;
         totals.add(&p);
@@ -367,7 +367,7 @@ mod tests {
         assert_eq!(totals.phases_total_ns(), 180);
         assert!((totals.coverage() - 0.9).abs() < 1e-9);
         assert!((totals.share(Phase::Compute) - 0.6).abs() < 1e-9);
-        assert_eq!(totals.shard_imbalance_ns, 8);
+        assert_eq!(totals.shard_imbalance_ns, 0, "no section reports a shard gap");
         assert_eq!(totals.compact_imbalance_ns, 6);
         assert!(!totals.allocs_counted);
         let rendered = totals.render();

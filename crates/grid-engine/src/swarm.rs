@@ -23,31 +23,30 @@
 //!   win their cell by the survivor rule), so the two phases never
 //!   collide with a live handle.
 //!
-//! # Parallel and sparse round paths
+//! # One round-apply path
 //!
-//! The round-apply is thread-scalable: a target cell belongs to exactly
-//! one tile, and a tile to exactly one shard of the
-//! [`TileIndex`](crate::tile::TileIndex), so merge detection and the
-//! occupancy update partition perfectly by shard and run on scoped
-//! worker threads ([`Swarm::apply_partial_threads`]). Partial
-//! activations additionally have a sparse path ([`Swarm::apply_sparse`])
-//! whose cost is O(activated ∪ moved) instead of O(n): merge candidates
-//! are only the robots that actually move (stationary incumbents are
-//! found by probing the index), and per-shard active lists
-//! ([`crate::tile::ShardLists`]) confine the occupancy phases to the
-//! shards an active robot touches. The per-cell survivor rule is a
-//! *minimum* over an order-free key, so the sharded and sparse paths are
-//! bit-identical to the sequential dense one on every thread count — the
-//! property the trace subsystem's replay oracle checks.
+//! The engine applies every round — FSYNC, partial schedulers and ASYNC
+//! commits alike — through [`Swarm::apply_sparse`], whose cost is
+//! O(activated ∪ moved): merge candidates are only the robots that
+//! actually move (stationary incumbents are found by probing the
+//! index), and per-shard active lists ([`crate::tile::ShardLists`])
+//! confine the occupancy update to the shards a mover touches. A cell
+//! belongs to exactly one tile, and a tile to exactly one shard of the
+//! [`TileIndex`], so the occupancy update runs
+//! on scoped worker threads over disjoint shards; survivor compaction
+//! is a parallel prefix-sum. The per-cell survivor rule is a *minimum*
+//! over an order-free key, so the result is bit-identical on every
+//! thread count and to the sequential [`Swarm::apply_partial`] — the
+//! reference that trace playback and the equivalence tests replay
+//! against.
 
 use crate::geom::{Bounds, Point, D4, V2};
 use crate::parallel::{
-    chunk_bounds, for_each_selected_shard_mut, for_each_shard_mut, parallel_map,
-    parallel_map_coarse_clocked, resolve_threads, shard_indices, PARALLEL_THRESHOLD,
+    chunk_bounds, for_each_selected_shard_mut, resolve_threads, PARALLEL_THRESHOLD,
 };
 use crate::profile::{timed, Phase, RoundProfile};
 use crate::scheduler::splitmix64;
-use crate::tile::{shard_of, ShardLists, TileIndex, NUM_SHARDS};
+use crate::tile::{shard_of, ShardLists, TileIndex};
 
 /// Per-robot algorithm state carried between rounds.
 ///
@@ -118,9 +117,10 @@ struct RoundScratch<S> {
     /// `loser_stamp[i] == epoch` ⇔ dense slot `i` lost its merge this
     /// round (shared by every apply path; drives compaction).
     loser_stamp: Vec<u32>,
-    /// Sparse path: target cell per active robot (indexed like `active`).
+    /// Target cell per active robot (indexed like `active`; per slot in
+    /// the reference `apply_partial`).
     targets: Vec<Point>,
-    /// Sparse path: merge-detect owner map, keyed by target cell.
+    /// Merge-detect owner map, keyed by target cell.
     owner: crate::fxhash::FxHashMap<Point, u32>,
     /// Sparse path: active movers grouped by the shard of their old cell.
     old_cells: ShardLists,
@@ -432,333 +432,116 @@ impl<S: RobotState> Swarm<S> {
     /// it keeps its position *and* its state (an inactive robot can
     /// still be merged into when an active robot lands on its cell, and
     /// the stationary-wins survivor rule then favours it).
+    ///
+    /// This is the sequential reference apply: a plain scan over the
+    /// whole population, kept independent of the engine's
+    /// [`Swarm::apply_sparse`] so trace playback and the equivalence
+    /// tests have an oracle to compare it against. Phases: target
+    /// computation, merge detection over the full population,
+    /// movers-only occupancy update, in-place commit plus compaction.
     pub fn apply_partial(&mut self, actions: Vec<Option<Action<S>>>) -> ApplyOutcome {
-        self.apply_partial_threads(actions, 1)
-    }
-
-    /// [`Swarm::apply`] with a worker-thread budget for the round-apply
-    /// itself (merge detection and the occupancy update shard by tile).
-    pub fn apply_threads(&mut self, actions: Vec<Action<S>>, threads: usize) -> ApplyOutcome {
-        self.apply_threads_profiled(actions, threads, None)
-    }
-
-    /// [`Swarm::apply_threads`] that additionally attributes the apply's
-    /// sub-phases (targets, merge detect, occupancy, compaction) to
-    /// `prof` when one is given. Timing observes the phases from
-    /// outside, so the outcome is bit-identical with and without a
-    /// profile.
-    pub fn apply_threads_profiled(
-        &mut self,
-        actions: Vec<Action<S>>,
-        threads: usize,
-        prof: Option<&mut RoundProfile>,
-    ) -> ApplyOutcome {
         assert_eq!(actions.len(), self.positions.len());
-        self.apply_partial_threads_profiled(actions.into_iter().map(Some).collect(), threads, prof)
-    }
-
-    /// [`Swarm::apply_partial`] with a worker-thread budget. The outcome
-    /// — survivors, their compacted order, every digest — is
-    /// bit-identical for every `threads` value: the per-cell survivor
-    /// rule is a minimum over the order-free key `(moved, previous
-    /// position)`, so shard-local resolution cannot disagree with the
-    /// sequential scan.
-    pub fn apply_partial_threads(
-        &mut self,
-        actions: Vec<Option<Action<S>>>,
-        threads: usize,
-    ) -> ApplyOutcome {
-        self.apply_partial_threads_profiled(actions, threads, None)
-    }
-
-    /// [`Swarm::apply_partial_threads`] with optional phase attribution
-    /// into `prof` (see [`Swarm::apply_threads_profiled`]).
-    pub fn apply_partial_threads_profiled(
-        &mut self,
-        actions: Vec<Option<Action<S>>>,
-        threads: usize,
-        prof: Option<&mut RoundProfile>,
-    ) -> ApplyOutcome {
-        assert_eq!(actions.len(), self.positions.len());
-        let threads = resolve_threads(threads);
-        if threads <= 1 || self.positions.len() < PARALLEL_THRESHOLD {
-            self.apply_partial_seq_profiled(actions, prof)
-        } else {
-            self.apply_partial_sharded_profiled(actions, threads, prof)
-        }
-    }
-
-    /// The sequential dense round-apply (exactly the historical
-    /// semantics). Phases: target computation, merge detection over the
-    /// full population, movers-only occupancy update, in-place survivor
-    /// commit plus array compaction.
-    fn apply_partial_seq_profiled(
-        &mut self,
-        actions: Vec<Option<Action<S>>>,
-        prof: Option<&mut RoundProfile>,
-    ) -> ApplyOutcome {
-        let mut prof = prof;
         let n = self.positions.len();
         let epoch = self.scratch.next_epoch(self.slot_of.len());
 
         let mut targets = std::mem::take(&mut self.scratch.targets);
-        let moved = timed(&mut prof, Phase::ApplyTargets, || {
-            targets.clear();
-            targets.reserve(n);
-            let mut moved = 0usize;
-            for (i, action) in actions.iter().enumerate() {
-                let target = match action {
-                    Some(action) => {
-                        debug_assert!(action.step.is_step(), "illegal step {:?}", action.step);
-                        self.positions[i] + self.orients[i].apply(action.step)
-                    }
-                    None => self.positions[i],
-                };
-                moved += usize::from(target != self.positions[i]);
-                targets.push(target);
-            }
-            moved
-        });
+        targets.clear();
+        targets.reserve(n);
+        let mut moved = 0usize;
+        for (i, action) in actions.iter().enumerate() {
+            let target = match action {
+                Some(action) => {
+                    debug_assert!(action.step.is_step(), "illegal step {:?}", action.step);
+                    self.positions[i] + self.orients[i].apply(action.step)
+                }
+                None => self.positions[i],
+            };
+            moved += usize::from(target != self.positions[i]);
+            targets.push(target);
+        }
 
         // Group robots by target cell to find merges. The common case is
         // "no merge anywhere", so detect duplicates with a map from cell
         // to the currently-winning robot index.
-        let mut owner = std::mem::take(&mut self.scratch.owner);
-        let (merged, first_loser) = timed(&mut prof, Phase::MergeDetect, || {
-            owner.clear();
-            owner.reserve(n);
-            let mut merged = 0usize;
-            let mut first_loser = usize::MAX;
-            for i in 0..n {
-                match owner.entry(targets[i]) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
+        let owner = &mut self.scratch.owner;
+        owner.clear();
+        owner.reserve(n);
+        let mut merged = 0usize;
+        let mut first_loser = usize::MAX;
+        for i in 0..n {
+            match owner.entry(targets[i]) {
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(i as u32);
+                }
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    let j = *e.get() as usize;
+                    let loser = if beats(&self.positions, &targets, i, j) {
                         e.insert(i as u32);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let j = *e.get() as usize;
-                        let loser = if beats(&self.positions, &targets, i, j) {
-                            e.insert(i as u32);
-                            j
-                        } else {
-                            i
-                        };
-                        self.scratch.loser_stamp[loser] = epoch;
-                        first_loser = first_loser.min(loser);
-                        merged += 1;
-                    }
+                        j
+                    } else {
+                        i
+                    };
+                    self.scratch.loser_stamp[loser] = epoch;
+                    first_loser = first_loser.min(loser);
+                    merged += 1;
                 }
             }
-            (merged, first_loser)
-        });
-        self.scratch.owner = owner;
+        }
 
         // Movers-only occupancy update: every mover vacates its old cell
         // (losers are always movers), then each surviving mover claims
         // its target. Stationary cells are never rewritten — their
         // handles stay valid across the round.
-        timed(&mut prof, Phase::OccupancyRebuild, || {
-            for (i, &target) in targets.iter().enumerate() {
-                if target != self.positions[i] {
-                    self.index.clear(self.positions[i]);
-                }
+        for (i, &target) in targets.iter().enumerate() {
+            if target != self.positions[i] {
+                self.index.clear(self.positions[i]);
             }
-            for (i, &target) in targets.iter().enumerate() {
-                if target != self.positions[i] && self.scratch.loser_stamp[i] != epoch {
-                    let prev = self.index.set(target, self.handles[i]);
-                    debug_assert!(prev.is_none(), "survivor collision at {:?}", target);
-                }
+        }
+        for (i, &target) in targets.iter().enumerate() {
+            if target != self.positions[i] && self.scratch.loser_stamp[i] != epoch {
+                let prev = self.index.set(target, self.handles[i]);
+                debug_assert!(prev.is_none(), "survivor collision at {:?}", target);
             }
-        });
+        }
 
         // Commit in place (losers are overwritten too — they are about
         // to be compacted away), then compact the arrays.
-        timed(&mut prof, Phase::Compact, || {
-            for (i, action) in actions.into_iter().enumerate() {
-                self.positions[i] = targets[i];
-                if let Some(action) = action {
-                    self.states[i] = action.state;
-                }
+        for (i, action) in actions.into_iter().enumerate() {
+            self.positions[i] = targets[i];
+            if let Some(action) = action {
+                self.states[i] = action.state;
             }
-        });
+        }
         self.scratch.targets = targets;
         if merged > 0 {
-            self.compact_tail(first_loser, 1, &mut prof);
+            self.compact_tail(first_loser, 1, &mut None);
         }
         ApplyOutcome { merged, moved }
     }
 
-    /// The sharded dense round-apply: merge detection partitions by the
-    /// tile shard of the target cell and runs on scoped worker threads,
-    /// the occupancy update is movers-only and sharded the same way, and
-    /// survivor compaction is a parallel prefix-sum over array chunks.
-    /// Exposed (doc-hidden) so the equivalence proptests can force this
-    /// path on swarms below the parallel threshold.
-    #[doc(hidden)]
-    pub fn apply_partial_sharded(
-        &mut self,
-        actions: Vec<Option<Action<S>>>,
-        threads: usize,
-    ) -> ApplyOutcome {
-        self.apply_partial_sharded_profiled(actions, threads, None)
-    }
-
-    /// [`Swarm::apply_partial_sharded`] with optional phase attribution.
-    /// When profiling, the merge-resolve workers additionally clock each
-    /// shard so the profile carries the min/max time over shards that
-    /// had any targets — the imbalance figure for the parallel section.
-    fn apply_partial_sharded_profiled(
-        &mut self,
-        actions: Vec<Option<Action<S>>>,
-        threads: usize,
-        prof: Option<&mut RoundProfile>,
-    ) -> ApplyOutcome {
-        let mut prof = prof;
-        let timing = prof.is_some();
-        let n = self.positions.len();
-        assert_eq!(actions.len(), n);
-        let epoch = self.scratch.next_epoch(self.slot_of.len());
-        let positions = &self.positions;
-        let orients = &self.orients;
-        let (targets, moved) = timed(&mut prof, Phase::ApplyTargets, || {
-            let targets: Vec<Point> = parallel_map(n, threads, |i| match &actions[i] {
-                Some(action) => {
-                    debug_assert!(action.step.is_step(), "illegal step {:?}", action.step);
-                    positions[i] + orients[i].apply(action.step)
-                }
-                None => positions[i],
-            });
-            let moved = targets.iter().zip(positions).filter(|(t, p)| *t != *p).count();
-            (targets, moved)
-        });
-
-        // Merge detection, sharded by target tile: each target cell
-        // lives in exactly one shard, so per-shard resolution sees every
-        // contender for its cells and no others.
-        let target_groups = timed(&mut prof, Phase::MergeDetect, || {
-            shard_indices(n, NUM_SHARDS, threads, |i| shard_of(targets[i]))
-        });
-        let mut merged = 0usize;
-        let mut first_loser = usize::MAX;
-        let mut worked_shard_ns: Vec<u64> = Vec::new();
-        timed(&mut prof, Phase::MergeDetect, || {
-            let shard_outcomes: Vec<((Vec<u32>, usize), u64)> =
-                parallel_map_coarse_clocked(NUM_SHARDS, threads, timing, |s| {
-                    let mut owner: crate::fxhash::FxHashMap<Point, u32> =
-                        crate::fxhash::FxHashMap::default();
-                    owner.reserve(target_groups[s].len());
-                    let mut losers: Vec<u32> = Vec::new();
-                    let mut shard_merged = 0usize;
-                    for &i in &target_groups[s] {
-                        match owner.entry(targets[i as usize]) {
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(i);
-                            }
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                let j = *e.get();
-                                if beats(positions, &targets, i as usize, j as usize) {
-                                    losers.push(j);
-                                    e.insert(i);
-                                } else {
-                                    losers.push(i);
-                                }
-                                shard_merged += 1;
-                            }
-                        }
-                    }
-                    (losers, shard_merged)
-                });
-            for (s, ((losers, shard_merged), ns)) in shard_outcomes.into_iter().enumerate() {
-                merged += shard_merged;
-                for i in losers {
-                    self.scratch.loser_stamp[i as usize] = epoch;
-                    first_loser = first_loser.min(i as usize);
-                }
-                if timing && !target_groups[s].is_empty() {
-                    worked_shard_ns.push(ns);
-                }
-            }
-        });
-        if let Some(p) = prof.as_deref_mut() {
-            p.shard_min_ns = worked_shard_ns.iter().copied().min().unwrap_or(0);
-            p.shard_max_ns = worked_shard_ns.iter().copied().max().unwrap_or(0);
-        }
-
-        // Movers-only occupancy update in two sharded phases: clear every
-        // mover's old cell (grouped by old-position shard), then set
-        // every surviving mover's target (grouped by target shard). Each
-        // phase gives workers exclusive access to disjoint shards;
-        // within a shard, the cells of a phase are distinct, so order is
-        // irrelevant.
-        timed(&mut prof, Phase::OccupancyRebuild, || {
-            let Swarm { positions, handles, index, scratch, .. } = &mut *self;
-            let positions = &*positions;
-            let old_groups = shard_indices(n, NUM_SHARDS, threads, |i| shard_of(positions[i]));
-            let loser_stamp = &scratch.loser_stamp;
-            for_each_shard_mut(index.shards_mut(), threads, |s, shard| {
-                for &i in &old_groups[s] {
-                    let i = i as usize;
-                    if targets[i] != positions[i] {
-                        shard.clear(positions[i]);
-                    }
-                }
-            });
-            for_each_shard_mut(index.shards_mut(), threads, |s, shard| {
-                for &i in &target_groups[s] {
-                    let i = i as usize;
-                    if targets[i] != positions[i] && loser_stamp[i] != epoch {
-                        let prev = shard.set(targets[i], handles[i]);
-                        debug_assert!(prev.is_none(), "survivor collision at {:?}", targets[i]);
-                    }
-                }
-            });
-        });
-
-        // Commit in place, then compact the arrays past the first loser.
-        timed(&mut prof, Phase::Compact, || {
-            self.positions.copy_from_slice(&targets);
-            for (i, action) in actions.into_iter().enumerate() {
-                if let Some(action) = action {
-                    self.states[i] = action.state;
-                }
-            }
-        });
-        if merged > 0 {
-            self.compact_tail(first_loser, threads, &mut prof);
-        }
-        ApplyOutcome { merged, moved }
-    }
-
-    /// Sparse partial apply: cost O(activated ∪ moved) instead of O(n).
+    /// The engine's round-apply, for every scheduler: cost
+    /// O(activated ∪ moved) instead of O(n).
     ///
     /// `active` lists the activated robots (sorted, distinct — the
-    /// [`crate::scheduler::Activation::Subset`] contract) and `actions`
-    /// their chosen actions, index-parallel to `active`. Inactive robots
-    /// keep position and state; they participate in merges only as
-    /// stationary incumbents, which this path discovers by probing the
-    /// occupancy index at each mover's target instead of scanning the
-    /// population. Bit-identical to routing the same round through
+    /// [`crate::scheduler::Activation::Subset`] contract; an FSYNC round
+    /// passes every slot) and `actions` their chosen actions,
+    /// index-parallel to `active`. Inactive robots keep position and
+    /// state; they participate in merges only as stationary incumbents,
+    /// which this path discovers by probing the occupancy index at each
+    /// mover's target instead of scanning the population.
+    ///
+    /// `threads` is the worker budget for the selected-shard occupancy
+    /// update and the survivor compaction; everything else is O(active)
+    /// and runs on the calling thread. When `prof` is given, the
+    /// sub-phases are attributed to it (active-list maintenance to
+    /// [`Phase::ActiveList`]); timing observes the phases from outside,
+    /// so the outcome is the same with and without a profile.
+    ///
+    /// Bit-identical to routing the same round through
     /// [`Swarm::apply_partial`] with a scattered `Option` vector, on
-    /// every thread count — the sparse/dense equivalence proptests pin
+    /// every thread count — the sparse/reference equivalence tests pin
     /// exactly this.
-    pub fn apply_sparse(&mut self, active: &[usize], actions: Vec<Action<S>>) -> ApplyOutcome {
-        self.apply_sparse_threads(active, actions, 1)
-    }
-
-    /// [`Swarm::apply_sparse`] with a worker-thread budget (the sharded
-    /// occupancy phases and the compaction use it; everything else is
-    /// O(active) and runs on the calling thread).
-    pub fn apply_sparse_threads(
-        &mut self,
-        active: &[usize],
-        actions: Vec<Action<S>>,
-        threads: usize,
-    ) -> ApplyOutcome {
-        self.apply_sparse_threads_profiled(active, actions, threads, None)
-    }
-
-    /// [`Swarm::apply_sparse_threads`] with optional phase attribution
-    /// (active-list maintenance is charged to [`Phase::ActiveList`]).
-    pub fn apply_sparse_threads_profiled(
+    pub fn apply_sparse(
         &mut self,
         active: &[usize],
         actions: Vec<Action<S>>,
@@ -1242,23 +1025,50 @@ mod tests {
         assert_eq!(s.len(), 2);
     }
 
+    /// Every slot active, above the parallel threshold: the sparse apply
+    /// must match the sequential reference on merge-heavy rounds. The
+    /// line is listed east to west, so a later slot often holds the
+    /// smaller previous position and replaces the running winner of its
+    /// target cell; the occupancy update and the compaction both take
+    /// their parallel paths when `threads > 1`.
     #[test]
     fn sharded_apply_matches_sequential_on_a_merge_heavy_round() {
-        // Everyone marches east: a cascade of pairwise decisions that
-        // exercises winner replacement inside a shard.
-        let pts = line(40);
-        let acts = || (0..40).map(|_| Some(Action { step: V2::E, state: () })).collect::<Vec<_>>();
-        let mut seq: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-        let out_seq = seq.apply_partial(acts());
+        let n = 2 * PARALLEL_THRESHOLD as i32;
+        let pts: Vec<Point> = (0..n).rev().map(|x| Point::new(x, 0)).collect();
+        // Round 0: the robots left and right of every third cell close in
+        // on it while its occupant steps north (mover-vs-mover merges).
+        // Round 1: the survivors below step north onto the stationary
+        // row above (every mover loses to an incumbent).
+        let round = |r: usize, s: &Swarm<()>| -> Vec<Action<()>> {
+            s.positions()
+                .iter()
+                .map(|p| {
+                    let step = match (r, p.x.rem_euclid(3), p.y) {
+                        (0, 0, _) => V2::E,
+                        (0, 1, _) => V2::N,
+                        (0, _, _) => V2::W,
+                        (_, _, 0) => V2::N,
+                        _ => V2::ZERO,
+                    };
+                    Action { step, state: () }
+                })
+                .collect()
+        };
         for threads in [1usize, 2, 3, 8] {
+            let mut seq: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
             let mut par: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-            let out_par = par.apply_partial_sharded(acts(), threads);
-            assert_eq!(out_par, out_seq, "threads={threads}");
-            assert_eq!(par.position_digest(), seq.position_digest(), "threads={threads}");
-            assert_eq!(par.positions(), seq.positions(), "threads={threads}");
-            // The occupancy index agrees with the compacted arrays.
-            for (i, &p) in par.positions().iter().enumerate() {
-                assert_eq!(par.robot_at(p), Some(i), "threads={threads}");
+            for r in 0..2 {
+                let out_seq = seq.apply(round(r, &seq));
+                assert!(out_seq.merged > 0, "round {r} must merge");
+                let all: Vec<usize> = (0..par.len()).collect();
+                let out_par = par.apply_sparse(&all, round(r, &par), threads, None);
+                assert_eq!(out_par, out_seq, "round {r}, threads={threads}");
+                assert_eq!(par.positions(), seq.positions(), "round {r}, threads={threads}");
+                assert_eq!(par.position_digest(), seq.position_digest(), "threads={threads}");
+                // The occupancy index agrees with the compacted arrays.
+                for (i, &p) in par.positions().iter().enumerate() {
+                    assert_eq!(par.robot_at(p), Some(i), "round {r}, threads={threads}");
+                }
             }
         }
     }
@@ -1301,7 +1111,7 @@ mod tests {
         assert_eq!(out_dense, ApplyOutcome { merged: 2, moved: 3 });
         for threads in [1usize, 2, 3, 8] {
             let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-            let out = sparse.apply_sparse_threads(&active, acts(), threads);
+            let out = sparse.apply_sparse(&active, acts(), threads, None);
             assert_eq!(out, out_dense, "threads={threads}");
             assert_eq!(sparse.positions(), dense.positions(), "threads={threads}");
             assert_eq!(sparse.position_digest(), dense.position_digest(), "threads={threads}");
@@ -1329,7 +1139,7 @@ mod tests {
             let a = (round as usize) % (n - 1);
             let active = vec![a, a + 1];
             let acts = active.iter().map(|_| Action { step: V2::E, state: () }).collect();
-            merged_total += s.apply_sparse(&active, acts).merged;
+            merged_total += s.apply_sparse(&active, acts, 1, None).merged;
             for (i, &p) in s.positions().iter().enumerate() {
                 assert_eq!(s.robot_at(p), Some(i), "round {round}");
             }
@@ -1343,7 +1153,7 @@ mod tests {
     fn sparse_empty_activation_is_identity() {
         let mut s: Swarm<()> = Swarm::new(&line(4), OrientationMode::Aligned);
         let before = s.position_digest();
-        let out = s.apply_sparse(&[], Vec::new());
+        let out = s.apply_sparse(&[], Vec::new(), 1, None);
         assert_eq!(out, ApplyOutcome::default());
         assert_eq!(s.position_digest(), before);
     }
@@ -1399,7 +1209,7 @@ mod tests {
         // handle, so it must still resolve to robot 3's new slot.
         let mut s: Swarm<()> = Swarm::new(&line(4), OrientationMode::Aligned);
         s.park(3, 5, Action { step: V2::W, state: () });
-        let out = s.apply_sparse(&[0], vec![Action { step: V2::E, state: () }]);
+        let out = s.apply_sparse(&[0], vec![Action { step: V2::E, state: () }], 1, None);
         assert_eq!(out.merged, 1);
         assert_eq!(s.len(), 3);
         let slot3 = s.robot_at(Point::new(3, 0)).expect("robot 3 still present");
@@ -1411,28 +1221,23 @@ mod tests {
 
     /// The parallel prefix-sum compaction must agree with the serial
     /// swap-shift on every thread count, including survivor order and
-    /// `slot_of` coherence, on a tail long enough to actually chunk.
+    /// `slot_of` coherence, on a tail long enough to actually chunk: the
+    /// sparse apply with every slot active against the sequential
+    /// reference.
     #[test]
     fn parallel_compaction_is_bit_identical_to_serial() {
         let n = 3000i32;
         let pts: Vec<Point> = (0..n).map(|x| Point::new(x, 0)).collect();
-        let acts = || -> Vec<Option<Action<()>>> {
-            (0..n)
-                .map(|i| {
-                    if i % 3 == 1 {
-                        Some(Action { step: V2::W, state: () })
-                    } else {
-                        Some(Action::stay(()))
-                    }
-                })
-                .collect()
-        };
+        let step = |i: i32| if i % 3 == 1 { V2::W } else { V2::ZERO };
+        let acts =
+            || -> Vec<Action<()>> { (0..n).map(|i| Action { step: step(i), state: () }).collect() };
         let mut seq: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-        let out_seq = seq.apply_partial_threads(acts(), 1);
+        let out_seq = seq.apply(acts());
         assert!(out_seq.merged > 0);
-        for threads in [2usize, 3, 8] {
+        let all: Vec<usize> = (0..n as usize).collect();
+        for threads in [1usize, 2, 3, 8] {
             let mut par: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-            let out = par.apply_partial_sharded(acts(), threads);
+            let out = par.apply_sparse(&all, acts(), threads, None);
             assert_eq!(out, out_seq, "threads={threads}");
             assert_eq!(par.positions(), seq.positions(), "threads={threads}");
             assert_eq!(par.position_digest(), seq.position_digest(), "threads={threads}");

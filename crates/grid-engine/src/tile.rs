@@ -212,7 +212,7 @@ impl TileIndex {
 
     /// The shard slice, for the parallel round-apply: workers take
     /// exclusive ownership of disjoint shards
-    /// ([`crate::parallel::for_each_shard_mut`]) and may only touch
+    /// ([`crate::parallel::for_each_selected_shard_mut`]) and may only touch
     /// cells whose [`shard_of`] matches their shard index.
     pub(crate) fn shards_mut(&mut self) -> &mut [Shard] {
         &mut self.shards
@@ -225,8 +225,8 @@ impl TileIndex {
 
     /// Live tiles per shard (diagnostic): how evenly the occupied tiles
     /// spread over the [`NUM_SHARDS`] round-apply shards. A skewed
-    /// distribution is the static cause behind a large min/max shard gap
-    /// in the round profiler's parallel-section timings.
+    /// distribution leaves the parallel occupancy update with uneven
+    /// per-worker shares.
     pub fn shard_tile_counts(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.tiles.len()).collect()
     }

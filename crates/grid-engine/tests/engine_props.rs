@@ -1,7 +1,7 @@
 //! Property tests on the substrate: simultaneous-move semantics, the
 //! occupancy index (tiled vs. dense equivalence), view/frame coherence
-//! under random actions, and cross-thread bit-identity of the sharded
-//! round-apply.
+//! under random actions, and bit-identity of the engine's sparse
+//! round-apply with the sequential reference on every thread count.
 
 use grid_engine::grid::OccupancyGrid;
 use grid_engine::tile::TileIndex;
@@ -97,10 +97,9 @@ proptest! {
         prop_assert!(tiled.tile_count() <= 16);
     }
 
-    /// The sharded parallel round-apply is bit-identical to the
-    /// sequential path for every thread count: same survivor positions,
-    /// digest, merge and move counts — under full and partial
-    /// activation.
+    /// The threaded round-apply is bit-identical to the sequential path
+    /// for every thread count: same survivor positions, digest, merge
+    /// and move counts — under full and partial activation.
     #[test]
     fn sharded_apply_is_bit_identical_across_threads(
         (pts, steps, active_mask, seed) in arb_positions().prop_flat_map(|p| {
@@ -114,7 +113,7 @@ proptest! {
                 .zip(&active_mask)
                 .map(|(&(dx, dy), &a)| {
                     // ~3/4 of robots activated; inactive ones exercise the
-                    // stationary-wins rule inside shards.
+                    // stationary-wins rule.
                     (a != 0).then(|| Action { step: V2::new(dx as i32, dy as i32), state: () })
                 })
                 .collect()
@@ -123,8 +122,13 @@ proptest! {
         let ref_out = reference.apply_partial(actions(()));
         let ref_positions: Vec<Point> = reference.positions().to_vec();
         for threads in [1usize, 2, 3, 8] {
+            let (active, acts): (Vec<usize>, Vec<Action<()>>) = actions(())
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, a)| a.map(|a| (i, a)))
+                .unzip();
             let mut sharded: Swarm<()> = Swarm::new(&pts, OrientationMode::Scrambled(seed));
-            let out = sharded.apply_partial_sharded(actions(()), threads);
+            let out = sharded.apply_sparse(&active, acts, threads, None);
             prop_assert_eq!(out, ref_out, "outcome, threads={}", threads);
             prop_assert_eq!(
                 sharded.position_digest(),
@@ -143,7 +147,8 @@ proptest! {
     /// apply — same outcome, survivor order, digest and index — for
     /// every thread count, over several consecutive rounds so
     /// compactions and handle retirement interleave with the sparse
-    /// incumbent probes.
+    /// incumbent probes. Round 2 activates every robot: the FSYNC round
+    /// the engine routes through the same apply.
     #[test]
     fn sparse_apply_is_bit_identical_to_dense(
         (pts, seed) in (arb_positions(), any::<u64>())
@@ -152,10 +157,11 @@ proptest! {
             (0..n)
                 .filter_map(|i| {
                     let h = splitmix64(seed ^ round.wrapping_mul(31) ^ (i as u64).wrapping_mul(0x9e37_79b9));
-                    // ~half the robots activated, random king steps
-                    // (zero steps included: active stayers are the
-                    // incumbent-classification edge case).
-                    (h & 1 == 0).then(|| {
+                    // ~half the robots activated (all of them in round
+                    // 2), random king steps (zero steps included: active
+                    // stayers are the incumbent-classification edge
+                    // case).
+                    (round == 2 || h & 1 == 0).then(|| {
                         let dx = ((h >> 1) % 3) as i32 - 1;
                         let dy = ((h >> 3) % 3) as i32 - 1;
                         (i, V2::new(dx, dy))
@@ -165,7 +171,7 @@ proptest! {
         };
         let mut dense: Swarm<()> = Swarm::new(&pts, OrientationMode::Scrambled(seed));
         let mut dense_rounds: Vec<(ApplyOutcome, u64)> = Vec::new();
-        for round in 0..4u64 {
+        for round in 0..5u64 {
             let plan = round_plan(round, dense.len());
             let mut all: Vec<Option<Action<()>>> = (0..dense.len()).map(|_| None).collect();
             for &(i, step) in &plan {
@@ -176,12 +182,12 @@ proptest! {
         }
         for threads in [1usize, 2, 3, 8] {
             let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Scrambled(seed));
-            for round in 0..4u64 {
+            for round in 0..5u64 {
                 let plan = round_plan(round, sparse.len());
                 let active: Vec<usize> = plan.iter().map(|&(i, _)| i).collect();
                 let actions: Vec<Action<()>> =
                     plan.iter().map(|&(_, step)| Action { step, state: () }).collect();
-                let out = sparse.apply_sparse_threads(&active, actions, threads);
+                let out = sparse.apply_sparse(&active, actions, threads, None);
                 prop_assert_eq!(
                     (out, sparse.position_digest()),
                     dense_rounds[round as usize],
@@ -271,41 +277,48 @@ fn async_engine_rounds_match_dense_oracle_across_threads() {
     }
 }
 
-/// Above the parallel threshold, the *public* apply engages the sharded
-/// path on its own — this pins the integrated behaviour (not just the
-/// doc-hidden test hook) to the sequential reference across thread
-/// counts, over several merge-heavy rounds.
+/// Above the parallel threshold, the sparse apply with every slot
+/// active (the engine's FSYNC round) takes its parallel occupancy update
+/// and compaction on its own; this pins it to the sequential reference
+/// across thread counts, over several merge-heavy rounds.
 #[test]
 fn large_swarm_apply_threads_is_bit_identical() {
     let n = 2048usize;
     let pts: Vec<Point> = (0..n as i32).map(|x| Point::new(x, 0)).collect();
-    let round_actions = |round: u64, len: usize| -> Vec<Option<Action<()>>> {
+    let round_actions = |round: u64, len: usize| -> Vec<Action<()>> {
         (0..len)
             .map(|i| {
                 let h = splitmix64(round ^ (i as u64).wrapping_mul(0x9e37_79b9));
                 match h % 4 {
-                    0 => Some(Action { step: V2::E, state: () }),
-                    1 => Some(Action { step: V2::W, state: () }),
-                    2 => Some(Action::stay(())),
-                    _ => None,
+                    0 => Action { step: V2::E, state: () },
+                    1 => Action { step: V2::W, state: () },
+                    _ => Action::stay(()),
                 }
             })
             .collect()
     };
-    let run = |threads: usize| {
+    let mut reference: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+    let mut ref_digests = Vec::new();
+    let mut ref_merged = 0usize;
+    for round in 0..6u64 {
+        ref_merged += reference.apply(round_actions(round, reference.len())).merged;
+        ref_digests.push(reference.position_digest());
+    }
+    assert!(ref_merged > 0, "rounds must actually merge robots");
+    for threads in [1usize, 2, 3, 8] {
         let mut swarm: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
         let mut digests = Vec::new();
         let mut merged = 0usize;
         for round in 0..6u64 {
-            let out = swarm.apply_partial_threads(round_actions(round, swarm.len()), threads);
-            merged += out.merged;
+            let all: Vec<usize> = (0..swarm.len()).collect();
+            let actions = round_actions(round, swarm.len());
+            merged += swarm.apply_sparse(&all, actions, threads, None).merged;
             digests.push(swarm.position_digest());
         }
-        (digests, merged, swarm.positions().to_vec())
-    };
-    let reference = run(1);
-    assert!(reference.1 > 0, "rounds must actually merge robots");
-    for threads in [2usize, 3, 8] {
-        assert_eq!(run(threads), reference, "threads={threads}");
+        assert_eq!((digests, merged), (ref_digests.clone(), ref_merged), "threads={threads}");
+        assert_eq!(swarm.positions(), reference.positions(), "threads={threads}");
+        for (i, &p) in swarm.positions().iter().enumerate() {
+            assert_eq!(swarm.robot_at(p), Some(i), "index, threads={threads}");
+        }
     }
 }
